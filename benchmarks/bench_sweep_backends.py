@@ -27,8 +27,10 @@ import tempfile
 import time
 
 from repro import units
+from repro.analysis.backends import make_backend
 from repro.analysis.harness import RunBudget
 from repro.analysis.sweep import log_rate_grid, sweep_rate_delay
+from repro.store import ResultStore
 
 RM = units.ms(40)
 GRID = log_rate_grid(0.5, 50.0, points=8)
@@ -46,9 +48,10 @@ DURATION = 30.0
 
 def timed_sweep(jobs, cache_dir=None):
     start = time.monotonic()
+    store = ResultStore(cache_dir) if cache_dir is not None else None
     curve = sweep_rate_delay("copa", GRID, RM, duration=DURATION,
-                             budget=BUDGET, seed=11, jobs=jobs,
-                             cache_dir=cache_dir)
+                             budget=BUDGET, seed=11,
+                             backend=make_backend(jobs), store=store)
     elapsed = time.monotonic() - start
     assert not curve.failures, curve.failures
     assert len(curve.points) == len(GRID)
@@ -59,7 +62,6 @@ def timed_service_warm_submit(cache_dir, reference_bytes):
     """Submit→wait→fetch against a daemon whose store is fully warm."""
     from repro.service import (JobSpec, ServiceClient, SweepService,
                                serve_background)
-    from repro.store import ResultStore
 
     job_root = tempfile.mkdtemp(prefix="bench-jobs-")
     server = None

@@ -18,6 +18,7 @@ Run:  python examples/rate_delay_atlas.py [--rates 0.4,2,10,50] [--jobs 4]
 import argparse
 
 from repro import units
+from repro.analysis.backends import make_backend
 from repro.analysis.report import rate_delay_ascii
 from repro.analysis.sweep import sweep_rate_delay
 from repro.spec import CCASpec
@@ -57,7 +58,8 @@ def main():
           f"(paper Figure 3)\n")
     for label, cca, duration in cca_catalog():
         curve = sweep_rate_delay(cca, grid, RM, label=label,
-                                 duration=duration, jobs=args.jobs)
+                                 duration=duration,
+                                 backend=make_backend(args.jobs))
         print(rate_delay_ascii(curve))
         print(f"   delta_max = {curve.delta_max() * 1e3:.2f} ms -> "
               f"starvation possible when jitter D > "

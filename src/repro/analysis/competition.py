@@ -10,8 +10,8 @@ paper-style max/min throughput ratio.
 
 Execution rides the same machinery as rate sweeps: grid points are
 serialized :class:`~repro.spec.ScenarioSpec` documents shipped through
-:class:`~repro.analysis.harness.ResilientSweep`, so ``jobs=N`` fans
-pairs out over worker processes bit-identically to a serial run, the
+:class:`~repro.analysis.harness.ResilientSweep`, so a process-pool
+backend fans pairs out bit-identically to a serial run, the
 content-addressed store caches finished pairs, and a failed pair lands
 as a :class:`RunFailure` (with optional crash bundle) instead of
 killing the matrix.
@@ -33,7 +33,6 @@ from ..errors import ConfigurationError
 from ..spec import (CCASpec, FlowSpec, LinkSpec, ScenarioSpec,
                     TopologySpec, derive_seed)
 from .harness import ResilientSweep, RunBudget, RunFailure
-from .backends import make_backend
 from .report import format_table
 
 
@@ -243,9 +242,7 @@ def competition_matrix(ccas: Sequence[str], rate: float, rm: float,
                        topology: Optional[TopologySpec] = None,
                        budget: Optional[RunBudget] = None,
                        backend: Optional[object] = None,
-                       jobs: Optional[int] = None,
                        store: Optional[object] = None,
-                       cache_dir: Optional[str] = None,
                        refresh: bool = False,
                        crash_dir: Optional[str] = None,
                        checkpoint_path: Optional[str] = None,
@@ -269,21 +266,10 @@ def competition_matrix(ccas: Sequence[str], rate: float, rm: float,
             execution order and backend.
         starve_threshold: throughput ratio at which a pair is flagged
             starved (50 is a paper-scale "not s-fair for practical s").
-        backend/jobs/store/cache_dir/refresh/crash_dir/checkpoint_path/
-        max_failures: exactly as in
-            :func:`repro.analysis.sweep.sweep_rate_delay`.
+        backend/store/refresh/crash_dir/checkpoint_path/max_failures:
+            exactly as in :func:`repro.analysis.sweep.sweep_rate_delay`.
     """
     names = list(ccas)
-    if backend is None:
-        backend = make_backend(jobs)
-    elif jobs is not None:
-        raise ConfigurationError("pass backend or jobs, not both")
-    if cache_dir is not None:
-        if store is not None:
-            raise ConfigurationError("pass store or cache_dir, not both")
-        from ..store import ResultStore
-        store = ResultStore(cache_dir)
-
     points = build_matrix_points(names, rate, rm, duration=duration,
                                  warmup_fraction=warmup_fraction,
                                  mss=mss, seed=seed, topology=topology)

@@ -17,8 +17,9 @@ bundle captures everything needed to re-run the exact point:
   invariant + a tail of the recorder traces),
 * the :class:`~repro.analysis.harness.RunBudget` in force.
 
-Bundles are single JSON files written atomically (tempfile +
-``os.replace``) under a crash directory (``crashes/`` by convention;
+Bundles are single JSON files written atomically through the
+:class:`~repro.store.fsio.FileIO` seam under a crash directory
+(``crashes/`` by convention;
 the CLI's ``--crash-dir``). The file name is content-derived from
 ``(key, reason)``, so a point that fails the same way on every retry
 overwrites one bundle instead of accumulating copies.
@@ -36,12 +37,12 @@ import json
 import os
 import re
 import sys
-import tempfile
 import time
 from typing import Any, Dict, Optional
 
 from .. import __version__
 from ..errors import ConfigurationError
+from ..store.fsio import FileIO
 from .harness import RunBudget, _first_line, format_traceback
 
 BUNDLE_VERSION = 1
@@ -128,23 +129,12 @@ def write_crash_bundle(crash_dir: str, *, key: str,
             "python": sys.version.split()[0],
             "repro_version": __version__,
         }
-        os.makedirs(crash_dir, exist_ok=True)
         path = os.path.join(crash_dir, bundle_filename(
             key, type(exc).__name__))
-        # Atomic replace: a kill mid-write can't leave a torn bundle.
-        fd, tmp_path = tempfile.mkstemp(dir=crash_dir, prefix=".crash-",
-                                        suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True,
-                          default=repr)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        FileIO().write_atomic(path, json.dumps(payload, indent=1,
+                                               sort_keys=True,
+                                               default=repr),
+                              prefix=".crash-")
         return path
     except Exception:
         return None

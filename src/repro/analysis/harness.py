@@ -23,9 +23,7 @@ benchmark panels all fit.
 from __future__ import annotations
 
 import json
-import os
 import signal
-import tempfile
 import threading
 import traceback
 from contextlib import contextmanager
@@ -33,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..errors import ReproError, SweepAbortedError
+from ..store.fsio import FileIO
 
 
 @dataclass
@@ -183,6 +182,10 @@ class SweepOutcome:
     #: ran (the sweep-service's cooperative job cancellation). The
     #: checkpoint holds everything that finished.
     stopped: bool = False
+    #: True when a checkpoint write raised ``OSError``: the sweep ran
+    #: on, but an interrupted rerun may redo points the lost write
+    #: would have recorded.
+    checkpoint_degraded: bool = False
 
     @property
     def failed_keys(self) -> List[str]:
@@ -206,8 +209,11 @@ class ResilientSweep:
         checkpoint_path: JSON file for incremental progress. Written
             atomically after *every* point; on the next invocation,
             completed and failed points found there are skipped, so an
-            interrupted sweep resumes where it stopped. None disables
-            checkpointing.
+            interrupted sweep resumes where it stopped. A missing or
+            unreadable file means a fresh start, and a write that
+            raises ``OSError`` only sets
+            :attr:`SweepOutcome.checkpoint_degraded` — the sweep goes
+            on without resumability. None disables checkpointing.
         retry_failures_on_resume: when True, points recorded as
             failures in the checkpoint are attempted again on resume
             (completed points are never re-run).
@@ -228,8 +234,10 @@ class ResilientSweep:
             store, the checkpoint stops persisting results of its own:
             it records each completed point's *cache key* and becomes a
             view over the store (results from a pre-store checkpoint
-            are migrated in on first resume). A checkpoint entry whose
-            store object was garbage-collected simply re-runs.
+            stay inline). A checkpoint entry whose store object was
+            garbage-collected simply re-runs. Checkpoints are written
+            through the store's ``fs`` seam, so a chaos
+            :class:`~repro.service.chaos.FaultyFS` reaches them too.
         refresh: recompute every point even when cached, overwriting
             store entries (the CLI's ``--force``).
         max_failures: fail-fast threshold — the number of failed points
@@ -293,6 +301,7 @@ class ResilientSweep:
             backend = SerialBackend()
         self.backend = backend
         self.store = store
+        self.fs = store.fs if store is not None else FileIO()
         self.refresh = refresh
         self.crash_dir = crash_dir
         self.stop_check = stop_check
@@ -301,11 +310,6 @@ class ResilientSweep:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-
-    def load_checkpoint(self) -> Tuple[Dict[str, Any], List[RunFailure]]:
-        """Read prior progress; tolerates a missing or corrupt file."""
-        completed, _refs, failures = self._load_state()
-        return completed, failures
 
     def _load_state(self) -> Tuple[Dict[str, Any], Dict[str, str],
                                    List[RunFailure]]:
@@ -316,50 +320,53 @@ class ResilientSweep:
         attached store, and an unresolvable key (entry gc'd, store
         moved, no store attached) silently drops the point so it simply
         re-runs — the checkpoint is a view, the store is the truth.
+        A missing, torn or malformed file (valid JSON of the wrong
+        shape, a corrupted cache key) reads as no checkpoint at all.
         """
         if self.checkpoint_path is None:
             return {}, {}, []
         try:
             with open(self.checkpoint_path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            version = data.get("version")
+            completed: Dict[str, Any] = {}
+            refs: Dict[str, str] = {}
+            if version == self.CHECKPOINT_VERSION:
+                completed = dict(data.get("completed", {}))
+            elif version == self.CHECKPOINT_STORE_VERSION:
+                completed = dict(data.get("inline", {}))
+                if self.store is not None:
+                    for key, cache_key in data.get("completed", {}).items():
+                        found, result = self.store.fetch(cache_key)
+                        if found:
+                            completed[key] = result
+                            refs[key] = cache_key
+            else:
+                return {}, {}, []
+            failures = [RunFailure.from_json(f)
+                        for f in data.get("failures", [])]
+        except (OSError, ValueError, TypeError, KeyError, AttributeError,
+                ReproError):
             return {}, {}, []
-        version = data.get("version")
-        completed: Dict[str, Any] = {}
-        refs: Dict[str, str] = {}
-        if version == self.CHECKPOINT_VERSION:
-            completed = dict(data.get("completed", {}))
-        elif version == self.CHECKPOINT_STORE_VERSION:
-            completed = dict(data.get("inline", {}))
-            if self.store is not None:
-                for key, cache_key in data.get("completed", {}).items():
-                    found, result = self.store.fetch(cache_key)
-                    if found:
-                        completed[key] = result
-                        refs[key] = cache_key
-        else:
-            return {}, {}, []
-        failures = [RunFailure.from_json(f)
-                    for f in data.get("failures", [])]
         return completed, refs, failures
 
     def _write_checkpoint(self, completed: Dict[str, Any],
                           failures: List[RunFailure],
-                          refs: Optional[Dict[str, str]] = None) -> None:
+                          refs: Dict[str, str]) -> bool:
+        """Persist progress; False when the write raised ``OSError``."""
         if self.checkpoint_path is None:
-            return
+            return True
         if self.store is not None:
-            refs = refs or {}
             payload = {
                 "version": self.CHECKPOINT_STORE_VERSION,
-                "store": getattr(self.store, "root", ""),
+                "store": self.store.root,
                 # The store holds the results; the checkpoint only
                 # remembers which cache keys belong to this grid.
                 "completed": {key: refs[key] for key in completed
                               if key in refs},
                 # Results that never obtained a cache key (carried over
-                # from a pre-store checkpoint for points outside the
-                # current grid) are kept inline so nothing is lost.
+                # from a pre-store checkpoint) are kept inline so
+                # nothing is lost.
                 "inline": {key: value for key, value in completed.items()
                            if key not in refs},
                 "failures": [f.to_json() for f in failures],
@@ -370,21 +377,14 @@ class ResilientSweep:
                 "completed": completed,
                 "failures": [f.to_json() for f in failures],
             }
-        # Atomic replace so a kill mid-write can't corrupt progress.
-        directory = os.path.dirname(os.path.abspath(self.checkpoint_path))
-        fd, tmp_path = tempfile.mkstemp(dir=directory,
-                                        prefix=".checkpoint-",
-                                        suffix=".json")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-            os.replace(tmp_path, self.checkpoint_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+            self.fs.write_atomic(self.checkpoint_path,
+                                 json.dumps(payload, indent=1,
+                                            sort_keys=True),
+                                 prefix=".checkpoint-")
+        except OSError:
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Execution
@@ -442,14 +442,12 @@ class ResilientSweep:
         completed, refs, failures = self._load_state()
         if self.retry_failures_on_resume:
             failures = []
-        if self.store is not None:
-            self._migrate_inline_results(completed, refs, dict(points))
         failed_keys = {f.key for f in failures}
         pending = [(key, params) for key, params in points
                    if key not in completed and key not in failed_keys]
         resumed = len(points) - len(pending)
         hits = misses = degraded = 0
-        stopped = False
+        stopped = checkpoint_degraded = False
         self._check_failure_threshold(failures)
         with self._trap_signals():
             for outcome in self.backend.execute(
@@ -476,7 +474,8 @@ class ResilientSweep:
                     else:
                         misses += 1
                         self._note(outcome.key, "ok")
-                self._write_checkpoint(completed, failures, refs)
+                if not self._write_checkpoint(completed, failures, refs):
+                    checkpoint_degraded = True
                 # Fail-fast after the flush: everything that finished
                 # survives for a resume with a fixed setup. Raising
                 # here closes the backend generator, which tears down
@@ -495,7 +494,8 @@ class ResilientSweep:
             raise KeyboardInterrupt
         return SweepOutcome(completed=completed, failures=failures,
                             resumed=resumed, hits=hits, misses=misses,
-                            degraded=degraded, stopped=stopped)
+                            degraded=degraded, stopped=stopped,
+                            checkpoint_degraded=checkpoint_degraded)
 
     def _check_failure_threshold(self,
                                  failures: List[RunFailure]) -> None:
@@ -507,28 +507,6 @@ class ResilientSweep:
                 f"(last: {failures[-1].key}: {failures[-1].reason}: "
                 f"{failures[-1].message})",
                 failures=list(failures))
-
-    def _migrate_inline_results(self, completed: Dict[str, Any],
-                                refs: Dict[str, str],
-                                params_by_key: Dict[str, Any]) -> None:
-        """Unify pre-store checkpoints with the store.
-
-        A version-1 checkpoint carries results inline. When a store is
-        attached, each inline result whose point is still on the grid
-        is put under its content address, so from here on the
-        checkpoint is purely a view over cached keys.
-        """
-        from ..store import point_cache_key, task_name
-        for key, result in completed.items():
-            if key in refs or key not in params_by_key:
-                continue
-            cache_key = point_cache_key(self.run_point,
-                                        params_by_key[key],
-                                        fingerprint=self.store.fingerprint)
-            if not self.store.contains(cache_key):
-                self.store.put(cache_key, result, meta={"point": key},
-                               task=task_name(self.run_point))
-            refs[key] = cache_key
 
     def _note(self, key: str, status: str) -> None:
         if self.progress is not None:

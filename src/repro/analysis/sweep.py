@@ -10,33 +10,27 @@ divergent grid point is recorded as a :class:`RunFailure` on the
 returned curve instead of aborting the sweep, and an optional JSON
 checkpoint lets interrupted sweeps resume from the last completed rate.
 
-Execution is backend-pluggable (:mod:`repro.analysis.backends`). Name
-the CCA declaratively — a registry string or
+Execution is backend-pluggable (:mod:`repro.analysis.backends`). The
+CCA is named declaratively — a registry string or
 :class:`~repro.spec.CCASpec` — and the sweep ships each grid point to
 workers as a serialized :class:`~repro.spec.ScenarioSpec`, so
-``jobs=N`` scales with cores while staying bit-identical to a serial
-run (per-point seeds derive from the root ``seed`` and the grid key,
-never from execution order). Passing a live callable factory still
-works but is confined to the serial backend.
+``backend=make_backend(N)`` scales with cores while staying
+bit-identical to a serial run (per-point seeds derive from the root
+``seed`` and the grid key, never from execution order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import units
 from ..errors import ConfigurationError
 from ..spec import CCASpec, ScenarioSpec, derive_seed, single_flow_scenario
-from ..sim.network import FlowConfig, LinkConfig
-from ..sim.runner import run_scenario_full
-from .backends import SerialBackend, make_backend
 from .harness import ResilientSweep, RunBudget, RunFailure
 
-#: What callers may sweep: a registry name, a CCASpec, or (legacy,
-#: serial-only) a zero-argument live factory.
-CCALike = Union[str, CCASpec, Callable[[], object]]
+#: What callers may sweep: a registry name or a CCASpec.
+CCALike = Union[str, CCASpec]
 
 
 @dataclass
@@ -119,12 +113,15 @@ def run_rate_delay_point(params: Dict[str, Any], budget: RunBudget
             "d_max": stats.max_rtt, "throughput": stats.throughput}
 
 
-def _as_cca_spec(cca: CCALike) -> Optional[CCASpec]:
+def _as_cca_spec(cca: CCALike) -> CCASpec:
     if isinstance(cca, CCASpec):
         return cca
     if isinstance(cca, str):
         return CCASpec(cca)
-    return None
+    raise ConfigurationError(
+        f"sweeps need a declarative CCA (a registry name or CCASpec) "
+        f"or a ScenarioSpec template, got {cca!r}: a live callable can "
+        f"neither cross process boundaries nor form a stable cache key")
 
 
 def build_rate_delay_points(cca: Optional[CCALike],
@@ -146,10 +143,6 @@ def build_rate_delay_points(cca: Optional[CCALike],
     grid byte-identical.
     """
     spec = None if template is not None else _as_cca_spec(cca)
-    if spec is None and template is None:
-        raise ConfigurationError(
-            "build_rate_delay_points needs a declarative CCA (registry "
-            "name or CCASpec) or a ScenarioSpec template")
     points: List[Tuple[str, Dict[str, Any]]] = []
     for rate_mbps in link_rates_mbps:
         key = f"{float(rate_mbps):g}mbps"
@@ -203,11 +196,9 @@ def sweep_rate_delay(cca_factory: CCALike,
                      checkpoint_path: Optional[str] = None,
                      retry_failures: bool = False,
                      backend: Optional[object] = None,
-                     jobs: Optional[int] = None,
                      seed: int = 0,
                      template: Optional[ScenarioSpec] = None,
                      store: Optional[object] = None,
-                     cache_dir: Optional[str] = None,
                      refresh: bool = False,
                      crash_dir: Optional[str] = None,
                      max_failures: Optional[int] = None
@@ -215,11 +206,9 @@ def sweep_rate_delay(cca_factory: CCALike,
     """Measure the equilibrium RTT range across link rates.
 
     Args:
-        cca_factory: the CCA to sweep — a registry name (``"vegas"``),
-            a :class:`~repro.spec.CCASpec` (``CCASpec("bbr",
-            {"seed": 3})``), or a legacy zero-argument factory
-            (serial-only: live callables cannot cross process
-            boundaries).
+        cca_factory: the CCA to sweep — a registry name (``"vegas"``)
+            or a :class:`~repro.spec.CCASpec` (``CCASpec("bbr",
+            {"seed": 3})``).
         link_rates_mbps: sweep grid in Mbit/s (the paper uses
             0.1 .. 100).
         rm: propagation RTT (the paper's Figure 3 uses 100 ms).
@@ -233,10 +222,9 @@ def sweep_rate_delay(cca_factory: CCALike,
         retry_failures: when resuming from a checkpoint, re-run rates
             previously recorded as failed (e.g. after raising the
             budget) instead of keeping their failure records.
-        backend: execution backend; defaults to serial (or to
-            ``make_backend(jobs)`` when ``jobs`` is given).
-        jobs: shorthand for ``backend=make_backend(jobs)`` — ``N > 1``
-            fans grid points out over N worker processes.
+        backend: execution backend; defaults to serial.
+            ``make_backend(N)`` with ``N > 1`` fans grid points out
+            over N worker processes.
         seed: root seed; each grid point derives its scenario seed from
             ``(seed, point key)``, so results are independent of
             execution order and backend.
@@ -250,7 +238,6 @@ def sweep_rate_delay(cca_factory: CCALike,
             after, so a warm rerun executes zero simulations while
             producing a byte-identical curve (``curve.cache`` reports
             the hit/miss split).
-        cache_dir: shorthand for ``store=ResultStore(cache_dir)``.
         refresh: recompute every point and overwrite store entries
             (the CLI's ``--force``).
         crash_dir: directory for reproducible crash bundles — every
@@ -261,70 +248,19 @@ def sweep_rate_delay(cca_factory: CCALike,
             this many grid points have failed (``0`` = abort on the
             first failure; ``None`` = never, the default).
     """
-    if backend is None:
-        backend = make_backend(jobs)
-    elif jobs is not None:
-        raise ConfigurationError("pass backend or jobs, not both")
-    if cache_dir is not None:
-        if store is not None:
-            raise ConfigurationError("pass store or cache_dir, not both")
-        from ..store import ResultStore
-        store = ResultStore(cache_dir)
-
-    spec = None if template is not None else _as_cca_spec(cca_factory)
-
-    if spec is not None or template is not None:
-        run_point = run_rate_delay_point
-        built_label, points = build_rate_delay_points(
-            cca_factory, link_rates_mbps, rm, duration=duration,
-            warmup_fraction=warmup_fraction, mss=mss, seed=seed,
-            template=template)
-        if not label:
-            label = built_label
-    else:
-        # Legacy path: a live factory closure. Works, but only serially.
-        if not isinstance(backend, SerialBackend):
-            raise ConfigurationError(
-                "parallel sweeps need a declarative CCA (a registry "
-                "name or CCASpec), not a live factory callable — "
-                "closures cannot cross process boundaries")
-        if store is not None:
-            raise ConfigurationError(
-                "result caching needs a declarative CCA (a registry "
-                "name or CCASpec), not a live factory callable — a "
-                "closure's identity cannot be part of a stable cache "
-                "key")
-
-        def run_point(params: Dict[str, object],
-                      point_budget: RunBudget) -> Dict[str, float]:
-            rate = units.mbps(float(params["rate_mbps"]))
-            run_time = duration
-            if run_time is None:
-                run_time = default_run_time(rate, rm, mss)
-            result = run_scenario_full(
-                LinkConfig(rate=rate),
-                [FlowConfig(cca_factory=cca_factory, rm=rm, mss=mss)],
-                duration=run_time, warmup=run_time * warmup_fraction,
-                max_events=point_budget.max_events,
-                wall_clock_budget=point_budget.wall_clock)
-            stats = result.stats[0]
-            return {"link_rate": rate, "d_min": stats.min_rtt,
-                    "d_max": stats.max_rtt,
-                    "throughput": stats.throughput}
-
-        points = [(f"{float(rate_mbps):g}mbps",
-                   {"rate_mbps": float(rate_mbps)})
-                  for rate_mbps in link_rates_mbps]
-
-    sweep = ResilientSweep(run_point, budget=budget,
+    built_label, points = build_rate_delay_points(
+        cca_factory, link_rates_mbps, rm, duration=duration,
+        warmup_fraction=warmup_fraction, mss=mss, seed=seed,
+        template=template)
+    sweep = ResilientSweep(run_rate_delay_point, budget=budget,
                            checkpoint_path=checkpoint_path,
                            retry_failures_on_resume=retry_failures,
                            backend=backend, store=store, refresh=refresh,
                            crash_dir=crash_dir,
                            max_failures=max_failures)
     outcome = sweep.run(points)
-    return assemble_rate_delay_curve(label, rm, points, outcome,
-                                     cached=store is not None)
+    return assemble_rate_delay_curve(label or built_label, rm, points,
+                                     outcome, cached=store is not None)
 
 
 def log_rate_grid(lo_mbps: float = 0.1, hi_mbps: float = 100.0,

@@ -165,6 +165,13 @@ def _print_cache_line(store: Optional[ResultStore], hits: int,
         print(f"cache: {hits} hit(s), {misses} miss(es) [{store.root}]")
 
 
+def _require_cca(name: str) -> None:
+    if not registry.is_registered(name):
+        raise SystemExit(
+            f"unknown CCA {name!r}; choose from "
+            f"{', '.join(registry.names())}")
+
+
 def _parse_window(text: str, what: str) -> tuple:
     """Parse ``START-END`` (seconds) into a (start, end) float pair."""
     start, sep, end = text.partition("-")
@@ -198,10 +205,7 @@ def parse_flow_spec(spec: str, rm: float,
     root seed.
     """
     name, _, rest = spec.partition(":")
-    if not registry.is_registered(name):
-        raise SystemExit(
-            f"unknown CCA {name!r}; choose from "
-            f"{', '.join(registry.names())}")
+    _require_cca(name)
     ack_elements: List[ElementSpec] = []
     windows: List[FaultWindowSpec] = []
     ack_every = 1
@@ -404,14 +408,25 @@ def cmd_run(args: argparse.Namespace) -> int:
             "warmup": warmup,
             "title": f"{name}, {duration:.0f} s",
         }))
+    return _print_reports(args, _run_spec_point, points, RunBudget(
+        max_events=args.max_events, wall_clock=None, retries=0))
+
+
+def _print_reports(args: argparse.Namespace, run_point,
+                   points: List[Tuple[str, Dict[str, Any]]],
+                   budget: RunBudget) -> int:
+    """Execute report-producing points; print them in grid order.
+
+    The shared tail of ``run`` and ``starve``: the backend, cache and
+    crash flags come from ``args``; the cache line and any failures
+    follow the reports, and any failure makes the exit status 1.
+    """
     backend = make_backend(args.jobs, chunksize=args.chunksize)
-    budget = RunBudget(max_events=args.max_events, wall_clock=None,
-                       retries=0)
     store = _cache_store(args)
     reports: Dict[str, str] = {}
     failures = []
     hits = misses = 0
-    for outcome in backend.execute(_run_spec_point, points, budget,
+    for outcome in backend.execute(run_point, points, budget,
                                    store=store, refresh=args.force,
                                    crash_dir=args.crash_dir):
         if outcome.failure is not None:
@@ -435,10 +450,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _apply_invariants(args)
-    if not registry.is_registered(args.cca):
-        raise SystemExit(
-            f"unknown CCA {args.cca!r}; choose from "
-            f"{', '.join(registry.names())}")
+    _require_cca(args.cca)
     template = None
     if args.topology:
         if args.spec:
@@ -511,10 +523,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     if not names:
         raise SystemExit("matrix needs --ccas NAME[,NAME...]")
     for name in names:
-        if not registry.is_registered(name):
-            raise SystemExit(
-                f"unknown CCA {name!r}; choose from "
-                f"{', '.join(registry.names())}")
+        _require_cca(name)
     topology = _load_topology(args.topology) if args.topology else None
     store = _cache_store(args)
     try:
@@ -569,33 +578,9 @@ def cmd_starve(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"unknown scenario {name!r}; choose from "
                 f"{', '.join(sorted(STARVE_SCENARIOS))}")
-    backend = make_backend(args.jobs, chunksize=args.chunksize)
-    budget = RunBudget(max_events=None, wall_clock=None, retries=0)
-    store = _cache_store(args)
     points = [(name, {"scenario": name}) for name in names]
-    reports: Dict[str, str] = {}
-    failures = []
-    hits = misses = 0
-    for outcome in backend.execute(_run_starve_point, points, budget,
-                                   store=store, refresh=args.force,
-                                   crash_dir=args.crash_dir):
-        if outcome.failure is not None:
-            failures.append(outcome.failure)
-        else:
-            reports[outcome.key] = outcome.result["report"]
-            if outcome.cached:
-                hits += 1
-            else:
-                misses += 1
-    for name in names:
-        if name in reports:
-            print(reports[name])
-    _print_cache_line(store, hits, misses)
-    if failures:
-        print(f"{len(failures)} scenario(s) failed:")
-        print(describe_failures(failures))
-        return 1
-    return 0
+    return _print_reports(args, _run_starve_point, points, RunBudget(
+        max_events=None, wall_clock=None, retries=0))
 
 
 def cmd_replay(args: argparse.Namespace) -> int:

@@ -30,12 +30,12 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..spec import ScenarioSpec
+from ..store.fsio import FileIO
 from ..store.keys import canonical_json
 from .oracles import run_battery
 
@@ -118,21 +118,10 @@ def write_entry(corpus_dir: str, entry: CorpusEntry) -> str:
     bit for bit), so the serialization is pinned: sorted keys, indent
     1, one trailing newline.
     """
-    os.makedirs(corpus_dir, exist_ok=True)
     path = os.path.join(corpus_dir, entry.filename)
-    fd, tmp_path = tempfile.mkstemp(dir=corpus_dir, prefix=".fuzz-",
-                                    suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    FileIO().write_atomic(path, json.dumps(entry.to_json(), indent=1,
+                                           sort_keys=True) + "\n",
+                          prefix=".fuzz-")
     return path
 
 

@@ -389,9 +389,9 @@ class JobStore:
                         result.json     rendered result document
                         checkpoint.json harness checkpoint (mid-run)
 
-    ``job.json`` writes are tempfile + ``os.replace`` (same durability
-    rule as the result store, through the same injectable
-    :class:`~repro.store.fsio.FileIO` seam), so a killed daemon leaves
+    ``job.json`` and ``result.json`` are written by this store's
+    :class:`~repro.store.fsio.FileIO` seam and the harness checkpoint
+    by the result store's, both atomically, so a killed daemon leaves
     at worst a stale-but-parseable snapshot; :meth:`load_all` is how a
     restarted daemon resumes its queue. Event appends seal a torn
     trailing NDJSON line before writing, the same discipline as the

@@ -34,9 +34,12 @@ Design points:
   (:func:`~repro.analysis.backends.execute_point` degrades per point);
   the job completes with ``degraded: true`` in its snapshot, events,
   and the service stats, instead of failing a whole sweep because the
-  disk filled up. Job-state persistence itself is best-effort under
-  the same faults: the in-memory queue stays authoritative and the
-  job is flagged degraded.
+  disk filled up. A checkpoint write that fails the same way costs
+  only resumability (the harness reports it on
+  :attr:`~repro.analysis.harness.SweepOutcome.checkpoint_degraded`)
+  and flags the job degraded too. Job-state persistence itself is
+  best-effort under the same faults: the in-memory queue stays
+  authoritative and the job is flagged degraded.
 * **Cancellation** — cooperative, via the harness ``stop_check``:
   queued jobs cancel immediately, running jobs stop at the next point
   boundary with their checkpoint intact.
@@ -490,7 +493,7 @@ class SweepService:
             job.cached = outcome.hits
             job.failed = len(outcome.failures)
             job.done = len(outcome.completed) - outcome.hits
-            if outcome.degraded:
+            if outcome.degraded or outcome.checkpoint_degraded:
                 job.degraded = True
 
         if outcome.stopped:

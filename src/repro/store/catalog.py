@@ -111,12 +111,8 @@ class Catalog:
             # would weld this record onto the garbage and lose both;
             # sealing the tail first confines the damage to the torn
             # line (which entries() already skips).
-            prefix = "" if self._tail_sealed() else "\n"
+            prefix = "" if tail_sealed(self.path) else "\n"
             self.fs.append(self.path, prefix + line + "\n")
-
-    def _tail_sealed(self) -> bool:
-        """True when the file is empty/missing or ends in a newline."""
-        return tail_sealed(self.path)
 
     def seal(self) -> None:
         """Seal a torn trailing line now, without waiting for a write.
@@ -128,7 +124,7 @@ class Catalog:
         happens.
         """
         with advisory_lock(self._lock_path):
-            if not self._tail_sealed():
+            if not tail_sealed(self.path):
                 self.fs.append(self.path, "\n")
 
     # ------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The filesystem seam: every durable write goes through one object.
 
 :class:`FileIO` is the real thing — atomic tempfile-rename writes and
-plain appends, exactly the idioms :class:`~repro.store.store.ResultStore`
-and :class:`~repro.service.jobs.JobStore` always used inline. Factoring
-them behind an injectable object is what makes the control plane
+plain appends — and the only atomic-write implementation in the
+package: :class:`~repro.store.store.ResultStore`,
+:class:`~repro.service.jobs.JobStore`, harness checkpoints, crash
+bundles and fuzz corpus entries all write through it. Keeping them
+behind an injectable object is what makes the control plane
 chaos-testable: :class:`~repro.service.chaos.FaultyFS` subclasses this
 and injects ENOSPC, torn writes, bit flips, and lost-rename-content
 faults at the same two choke points, so every durability claim in the

@@ -2,7 +2,7 @@
 
 :class:`~repro.analysis.backends.ProcessPoolBackend` workers share one
 store directory. Object writes are already safe against torn reads
-(tempfile + atomic ``os.replace``), but two writers replacing the same
+(:meth:`~repro.store.fsio.FileIO.write_atomic`), but two writers replacing the same
 key, and especially interleaved appends to the JSONL catalog, want
 mutual exclusion. POSIX ``flock`` gives it cheaply; on platforms
 without ``fcntl`` the lock degrades to the in-process lock alone (the

@@ -17,11 +17,11 @@ An entry file is a single JSON document::
 
 Durability rules:
 
-* **Writes are atomic**: tempfile in the shard directory + ``os.replace``
-  under an advisory lock (through the injectable
-  :class:`~repro.store.fsio.FileIO` seam, so chaos tests can make the
-  disk lie). A killed worker leaves at worst a ``.tmp-*`` orphan,
-  never a half-written entry at a live key.
+* **Writes are atomic**: :meth:`~repro.store.fsio.FileIO.write_atomic`
+  into the shard directory under an advisory lock (the injectable
+  seam through which chaos tests make the disk lie). A killed worker
+  leaves at worst a ``.tmp-*`` orphan, never a half-written entry at a
+  live key.
 * **Reads are corruption-tolerant**: unparsable JSON, a key mismatch,
   a missing ``result`` field, or a ``check`` checksum mismatch (a bit
   flip that kept the JSON parseable) is a cache *miss*, never a crash.

@@ -90,7 +90,7 @@ class TestSweep:
         assert all(r == pytest.approx(ratios[0]) for r in ratios)
 
     def test_sweep_vegas_produces_decreasing_dmax(self):
-        curve = sweep_rate_delay(Vegas, [2.0, 8.0, 32.0],
+        curve = sweep_rate_delay("vegas", [2.0, 8.0, 32.0],
                                  rm=units.ms(50), label="vegas",
                                  duration=15.0)
         d_maxes = [p.d_max for p in curve.points]

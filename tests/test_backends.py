@@ -258,7 +258,8 @@ class TestSweepRateDelayBackends:
         serial = sweep_rate_delay("vegas", self.GRID, RM, duration=3.0,
                                   budget=self.BUDGET, seed=5)
         pooled = sweep_rate_delay("vegas", self.GRID, RM, duration=3.0,
-                                  budget=self.BUDGET, seed=5, jobs=2)
+                                  budget=self.BUDGET, seed=5,
+                                  backend=ProcessPoolBackend(jobs=2))
         assert serial.to_json() == pooled.to_json()
 
     def test_chunked_backend_bit_identical_to_serial(self):
@@ -275,22 +276,12 @@ class TestSweepRateDelayBackends:
         assert curve.label == "vegas"
         assert len(curve.points) == 1
 
-    def test_callable_still_works_serially(self):
-        from repro.ccas import Vegas
-        curve = sweep_rate_delay(Vegas, [2.0], RM, duration=2.0,
-                                 budget=self.BUDGET)
-        assert len(curve.points) == 1
-
     def test_callable_with_parallel_backend_rejected(self):
         from repro.ccas import Vegas
         with pytest.raises(ConfigurationError, match="declarative"):
             sweep_rate_delay(Vegas, self.GRID, RM, duration=2.0,
-                             budget=self.BUDGET, jobs=2)
-
-    def test_backend_and_jobs_are_exclusive(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            sweep_rate_delay("vegas", self.GRID, RM,
-                             backend=SerialBackend(), jobs=2)
+                             budget=self.BUDGET,
+                             backend=ProcessPoolBackend(jobs=2))
 
     def test_template_sweep(self):
         template = single_flow_scenario(CCASpec("copa"),

@@ -17,7 +17,10 @@ The acceptance criteria under test:
   degrade-to-no-cache (job done, ``degraded: true``, store empty),
   torn/bit-flipped store objects read as misses, and
   ``verify(repair=True)`` quarantines every bad object so a fresh
-  ``verify()`` is clean.
+  ``verify()`` is clean;
+* a torn, ENOSPC-failed or bit-flipped job checkpoint costs at most
+  resumability: the resumed job still finishes byte-identical and no
+  point is simulated twice.
 """
 
 import errno
@@ -40,7 +43,7 @@ from repro.service import (ChaosPolicy, ChaosSite, FaultyFS, Job,
                            JobSpec, JobStore, ServiceClient,
                            SweepService, job_id, render_result,
                            serve_background)
-from repro.store import ResultStore
+from repro.store import FileIO, ResultStore
 
 RATES = [2.0, 8.0]
 BUDGET = RunBudget(retries=0, wall_clock=120.0)
@@ -61,6 +64,19 @@ def _service(tmp_path, fs=None, store_fs=None, **kwargs):
     store = ResultStore(str(tmp_path / "cache"), fs=store_fs)
     kwargs.setdefault("budget", BUDGET)
     return SweepService(str(tmp_path / "jobs"), store, fs=fs, **kwargs)
+
+
+class _CheckpointFaults(FaultyFS):
+    """A FaultyFS whose policy reaches harness checkpoints only."""
+
+    def write_atomic(self, path, text, prefix=".tmp-"):
+        if os.path.basename(path) == "checkpoint.json":
+            super().write_atomic(path, text, prefix=prefix)
+        else:
+            FileIO.write_atomic(self, path, text, prefix=prefix)
+
+    def append(self, path, text):
+        FileIO.append(self, path, text)
 
 
 def _wait(service, jid, timeout=90.0):
@@ -520,6 +536,57 @@ class TestDegradedService:
             service.stop()
         assert job.state == "done"
         assert service.result_bytes(job.id) is not None
+
+
+class TestCheckpointUnderChaos:
+    """Faults land on a job's checkpoint mid-sweep.
+
+    Every checkpoint write of a first daemon is torn, fails with
+    ENOSPC or is bit-flipped; that daemon is stopped mid-sweep and a
+    clean one resumes the job from whatever checkpoint is on disk. The
+    job must finish with the bytes of a clean local run, and the store
+    catalog must show one ``miss`` per grid point: a point the damaged
+    checkpoint lost is a store hit, never a second simulation.
+    """
+
+    RATES = [2.0, 4.0, 8.0]
+
+    @pytest.mark.parametrize("site", ["fs.torn", "fs.enospc",
+                                      "fs.bitflip"])
+    def test_checkpoint_fault_mid_sweep(self, tmp_path, site):
+        policy = ChaosPolicy(seed=2, sites=[ChaosSite(name=site,
+                                                      rate=1.0)])
+        spec = JobSpec.sweep("vegas", self.RATES, 40.0, duration=3.0,
+                             seed=3)
+        first = _service(tmp_path, store_fs=_CheckpointFaults(policy))
+        first.start()
+        try:
+            jid = first.submit(spec).id
+            deadline = time.monotonic() + 90
+            while not any(e["event"] == "point"
+                          for e in first.events(jid)):
+                assert time.monotonic() < deadline, "no progress"
+                time.sleep(0.02)
+        finally:
+            first.stop()
+        assert policy.counts()["fired"][site] >= 1
+
+        second = _service(tmp_path)
+        second.start()
+        try:
+            job = _wait(second, jid)
+        finally:
+            second.stop()
+        assert job.state == "done"
+        if site == "fs.enospc":
+            # The failed write degraded the job instead of failing it.
+            assert job.degraded
+        curve = sweep_rate_delay("vegas", self.RATES, units.ms(40.0),
+                                 duration=3.0, seed=3, budget=BUDGET)
+        assert second.result_bytes(jid) \
+            == render_result(curve.to_json()).encode()
+        counts = second.store.catalog.counts()
+        assert counts.get("miss", 0) == len(self.RATES)
 
 
 class TestTornEventSeal:

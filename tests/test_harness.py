@@ -272,6 +272,25 @@ class TestResilientSweep:
                 [("p0", {"rate_mbps": 2.0})])
         assert "p0" in outcome.completed
 
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '"checkpoint"',
+        '{"version": 1, "completed": {}, "failures": [{"key": "p0"}]}',
+        '{"version": 1, "completed": [1, 2], "failures": []}',
+        '{"version": 1, "completed": {}, "failures": {"p0": 1}}',
+    ], ids=["list", "string", "failure-missing-reason", "completed-list",
+            "failures-dict"])
+    def test_wrong_shape_checkpoint_tolerated(self, tmp_path, text):
+        # Valid JSON of the wrong shape is as good as no checkpoint.
+        checkpoint = tmp_path / "sweep.json"
+        checkpoint.write_text(text)
+        outcome = ResilientSweep(
+            scenario_point, budget=RunBudget(retries=0),
+            checkpoint_path=str(checkpoint)).run(
+                [("p0", {"rate_mbps": 2.0})])
+        assert "p0" in outcome.completed
+        assert outcome.resumed == 0 and not outcome.failures
+
     def test_duplicate_keys_rejected(self):
         sweep = ResilientSweep(scenario_point)
         with pytest.raises(ValueError):
@@ -314,7 +333,7 @@ class TestSweepRateDelayResilience:
     def test_failures_recorded_on_curve(self):
         # An absurdly small event budget fails every point...
         curve = sweep_rate_delay(
-            Vegas, [2.0, 10.0], rm=units.ms(40), duration=3.0,
+            "vegas", [2.0, 10.0], rm=units.ms(40), duration=3.0,
             budget=RunBudget(max_events=20, retries=0))
         assert not curve.points
         assert len(curve.failures) == 2
@@ -325,11 +344,11 @@ class TestSweepRateDelayResilience:
         checkpoint = str(tmp_path / "curve.json")
         kwargs = dict(rm=units.ms(40), duration=3.0,
                       checkpoint_path=checkpoint)
-        first = sweep_rate_delay(Vegas, [2.0], **kwargs)
+        first = sweep_rate_delay("vegas", [2.0], **kwargs)
         assert len(first.points) == 1
         # Extending the grid only runs the new point; the old one is
         # loaded from the checkpoint with identical values.
-        second = sweep_rate_delay(Vegas, [2.0, 10.0], **kwargs)
+        second = sweep_rate_delay("vegas", [2.0, 10.0], **kwargs)
         assert len(second.points) == 2
         assert second.points[0] == first.points[0]
 
@@ -433,7 +452,7 @@ class TestMaxFailures:
     def test_sweep_rate_delay_forwards_max_failures(self):
         from repro.errors import SweepAbortedError
         with pytest.raises(SweepAbortedError):
-            sweep_rate_delay(Vegas, [2.0, 10.0], rm=units.ms(40),
+            sweep_rate_delay("vegas", [2.0, 10.0], rm=units.ms(40),
                              duration=5.0,
                              budget=RunBudget(max_events=200,
                                               retries=0),

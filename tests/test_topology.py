@@ -40,6 +40,7 @@ from repro.spec import (CCASpec, FaultScheduleSpec, FaultWindowSpec,
                         TopoLinkSpec, TopologySpec, derive_seed,
                         parking_lot_topology,
                         shared_bottleneck_topology)
+from repro.store import ResultStore
 
 RM = units.ms(40)
 
@@ -337,7 +338,7 @@ class TestCompetitionMatrix:
     def test_matrix_caches_byte_identically(self, tmp_path):
         kwargs = dict(ccas=["reno", "vegas"], rate=units.mbps(8),
                       rm=RM, duration=2.0, seed=1,
-                      cache_dir=str(tmp_path / "cache"))
+                      store=ResultStore(str(tmp_path / "cache")))
         cold = competition_matrix(**kwargs)
         warm = competition_matrix(**kwargs)
         assert cold.cache == {"hits": 0, "misses": 3, "resumed": 0}
